@@ -35,6 +35,10 @@ from repro.core.query import QuantileQuery
 from repro.core.reliability import ReliabilityConfig
 from repro.core.synopsis import SliceSynopsis
 
+# Hot-path module: candidate runs are kept as they arrive (columnar off the
+# wire) and handed to the calculation step; no per-event ``Event`` objects
+# are constructed here (enforced by tests/test_hotpath_lint.py).
+
 __all__ = ["WindowOutcome", "DemaRootNode"]
 
 #: Abstract ops for sorting and sweeping s synopses during identification.
@@ -76,7 +80,7 @@ class _WindowState:
     synopses: dict[int, tuple[SliceSynopsis, ...]] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
     identification: IdentificationResult | None = None
-    runs: dict[tuple[int, int], tuple[Event, ...]] = field(default_factory=dict)
+    runs: dict[tuple[int, int], Sequence[Event]] = field(default_factory=dict)
     expected_runs: int = 0
     gamma_used: int = 0
     retries: int = 0

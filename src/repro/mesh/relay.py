@@ -53,6 +53,10 @@ from repro.runtime.transport import FailureLatch, MessageStream
 from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
+# Hot-path module: candidate runs cross the relay as columnar batches in
+# both directions; no per-event ``Event`` objects are constructed here
+# (enforced by tests/test_hotpath_lint.py).
+
 __all__ = [
     "combine_synopses",
     "combine_runs",
@@ -140,13 +144,18 @@ def explode_synopses(
 
 
 def explode_runs(message: RelayRunsMessage) -> "list[CandidateEventsMessage]":
-    """Reconstruct the per-child candidate-run frames a relay combined."""
+    """Reconstruct the per-child candidate-run frames a relay combined.
+
+    Each section's events pass through as they are — a decoded section is
+    an immutable columnar batch, exactly what the child's own frame would
+    have decoded to.
+    """
     return [
         CandidateEventsMessage(
             sender=node_id,
             window=message.window,
             slice_index=slice_index,
-            events=tuple(events),
+            events=events,
         )
         for node_id, slice_index, events in message.sections
     ]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.core.synopsis import SliceSynopsis
-from repro.errors import CodecError
+from repro.errors import CodecError, SliceError, WindowError
 from repro.obs.live.context import TraceContext
 from repro.network.messages import (
     CandidateEventsMessage,
@@ -507,6 +507,16 @@ class _Reader:
             )
 
 
+def _synopsis(**fields) -> SliceSynopsis:
+    # A well-formed entry can still describe an impossible slice (inverted
+    # keys, zero count, index past the total); that is a bad frame, so it
+    # surfaces as a CodecError like every other decode failure.
+    try:
+        return SliceSynopsis(**fields)
+    except SliceError as exc:
+        raise CodecError(f"invalid synopsis entry: {exc}") from exc
+
+
 def _decode_events(r: _Reader) -> EventColumns:
     # The event array is always the payload tail, so hand the remaining
     # bytes to the columnar constructor, which rejects byte lengths that
@@ -532,7 +542,7 @@ def _decode_synopsis(r, sender, window, group_id):
     for _ in range(n):
         raw = r.unpack(wire.SYNOPSIS)
         synopses.append(
-            SliceSynopsis(
+            _synopsis(
                 first_key=(raw[0], raw[1], raw[2]),
                 last_key=(raw[3], raw[4], raw[5]),
                 count=raw[6],
@@ -720,7 +730,7 @@ def _decode_relay_synopsis(r, sender, window, group_id):
         for index in range(n):
             raw = r.unpack(wire.RELAY_SYNOPSIS)
             synopses.append(
-                SliceSynopsis(
+                _synopsis(
                     first_key=(raw[0], raw[1], raw[2]),
                     last_key=(raw[3], raw[4], raw[5]),
                     count=raw[6],
@@ -964,8 +974,9 @@ def decode_body_traced(
 
     Raises:
         CodecError: On version mismatch, unknown tag, unknown flag bits, a
-            malformed extension block, or a payload that is truncated or
-            has trailing bytes.
+            malformed extension block, an invalid header window or
+            synopsis entry, or a payload that is truncated or has trailing
+            bytes.
     """
     view = memoryview(body)
     if len(view) < wire.HEADER.size:
@@ -1001,7 +1012,11 @@ def decode_body_traced(
     decoder = _DECODERS.get(tag)
     if decoder is None:
         raise CodecError(f"unknown frame type tag {tag}")
-    message = decoder(reader, sender, Window(start, end), group_id)
+    try:
+        window = Window(start, end)
+    except WindowError as exc:
+        raise CodecError(f"invalid header window: {exc}") from exc
+    message = decoder(reader, sender, window, group_id)
     reader.finish()
     if section_contexts is not None and isinstance(
         message, (RelaySynopsisMessage, RelayRunsMessage)

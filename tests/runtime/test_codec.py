@@ -1002,3 +1002,82 @@ def test_relay_runs_section_count_overruns_rejected():
     payload[12:16] = wire.U32.pack(2)
     with pytest.raises(CodecError, match="truncated"):
         decode_payload(tag_of(message), bytes(payload), sender=9, window=W)
+
+
+# ----------------------------------------------------------------------
+# Semantically invalid frames: well-formed bytes that describe an
+# impossible window or slice are bad frames too, and surface as the
+# codec's one error type — never as the domain errors the message
+# dataclasses raise.
+# ----------------------------------------------------------------------
+
+
+def _with_header_window(frame: bytes, start: int, end: int) -> bytes:
+    body = bytearray(frame[wire.LENGTH_PREFIX.size:])
+    fields = list(wire.HEADER.unpack_from(body, 0))
+    fields[-2:] = [start, end]
+    wire.HEADER.pack_into(body, 0, *fields)
+    return wire.LENGTH_PREFIX.pack(len(body)) + bytes(body)
+
+
+def test_inverted_header_window_rejected():
+    frame = _with_header_window(_FRAME, 5000, 1000)
+    with pytest.raises(CodecError, match="invalid header window"):
+        decode_frame(frame)
+
+
+@pytest.mark.parametrize(
+    "entry,reason",
+    [
+        ((2.0, 3, 5, 1.0, 3, 0, 6), "inverted keys"),
+        ((1.0, 3, 0, 2.0, 3, 5, 0), "zero count"),
+    ],
+    ids=["inverted_keys", "zero_count"],
+)
+@pytest.mark.parametrize("relay", [False, True], ids=["plain", "relay"])
+def test_invalid_synopsis_entry_rejected(entry, reason, relay):
+    if relay:
+        message = RelaySynopsisMessage(9, W, sections=((3, 6, (S,)),))
+        payload = wire.COUNT.pack(1) + wire.RELAY_SYNOPSIS_SECTION_FIXED.pack(
+            3, 6, 1
+        ) + wire.RELAY_SYNOPSIS.pack(*entry)
+    else:
+        message = SynopsisMessage(1, W, synopses=(S,), local_window_size=6)
+        payload = (
+            wire.COUNT.pack(1)
+            + wire.U64.pack(6)
+            + wire.SYNOPSIS.pack(*entry, 0, 2, 3)
+        )
+    with pytest.raises(CodecError, match="invalid synopsis entry"):
+        decode_payload(tag_of(message), payload, sender=1, window=W)
+
+
+_SAMPLE_BODIES = [
+    encode_frame(message)[wire.LENGTH_PREFIX.size:] for message, _ in SAMPLES
+]
+
+
+@st.composite
+def hostile_bodies(draw):
+    """A sample frame body, byte-mutated, truncated or extended."""
+    body = bytearray(draw(st.sampled_from(_SAMPLE_BODIES)))
+    action = draw(st.sampled_from(["mutate", "truncate", "extend"]))
+    if action == "mutate":
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            body[draw(st.integers(0, len(body) - 1))] = draw(
+                st.integers(0, 255)
+            )
+    elif action == "truncate":
+        del body[draw(st.integers(0, len(body))):]
+    else:
+        body += draw(st.binary(min_size=1, max_size=40))
+    return bytes(body)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(hostile_bodies())
+def test_hostile_bytes_raise_only_codec_errors(body):
+    try:
+        decode_body_traced(body)
+    except CodecError:
+        pass

@@ -13,8 +13,16 @@ checked set by being moved.
 
 import pathlib
 import re
+from types import SimpleNamespace
 
 import repro
+from repro.core.calculation import calculate_quantile
+from repro.mesh.relay import explode_runs
+from repro.network.messages import RelayRunsMessage
+from repro.runtime.codec import decode_frame, encode_frame
+from repro.streaming.columns import EventColumns
+from repro.streaming.events import make_events
+from repro.streaming.windows import Window
 
 MARKER = "Hot-path module:"
 
@@ -28,9 +36,12 @@ PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 #: The modules expected to carry the marker today; the lint fails if one
 #: loses it, so the discipline cannot be turned off by deleting a comment.
 EXPECTED_MARKED = {
+    "core/calculation.py",
     "core/local_node.py",
+    "core/root_node.py",
     "core/slicing.py",
     "core/sorted_window.py",
+    "mesh/relay.py",
     "runtime/codec.py",
     "runtime/servers.py",
     "runtime/transport.py",
@@ -67,3 +78,39 @@ def test_lint_regex_matches_constructor_calls_only():
     assert not EVENT_CALL.search("self.done = asyncio.Event()")
     assert not EVENT_CALL.search("cols = EventColumns.from_wire(raw)")
     assert not EVENT_CALL.search("msg = EventBatchMessage(1, w)")
+
+
+# The regex cannot see a batch materialized by iteration (``tuple(cols)``,
+# ``list(run)``), so the two columnar hand-offs on the candidate path are
+# pinned down directly.
+
+
+def test_explode_runs_passes_decoded_columns_through():
+    message = RelayRunsMessage(
+        9, Window(0, 1000),
+        sections=(
+            (3, 0, tuple(make_events([1.0, 2.0], node_id=3))),
+            (4, 1, tuple(make_events([0.5], node_id=4))),
+        ),
+    )
+    decoded = decode_frame(encode_frame(message))
+    parts = explode_runs(decoded)
+    assert len(parts) == len(decoded.sections)
+    for part, (_, _, events) in zip(parts, decoded.sections):
+        assert isinstance(events, EventColumns)
+        assert part.events is events
+
+
+def test_columnar_calculation_never_iterates_a_batch(monkeypatch):
+    runs = [
+        EventColumns.from_events(make_events(values, node_id=node_id))
+        for node_id, values in ((1, [1.0, 4.0, 9.0]), (2, [2.0, 3.0]))
+    ]
+    cut = SimpleNamespace(candidate_events=5, local_rank=3)
+
+    def no_iteration(self):
+        raise AssertionError("EventColumns iterated on the columnar path")
+
+    monkeypatch.setattr(EventColumns, "__iter__", no_iteration)
+    answer = calculate_quantile(cut, runs)
+    assert (answer.value, answer.node_id, answer.seq) == (3.0, 2, 1)
