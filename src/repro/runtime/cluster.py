@@ -57,6 +57,7 @@ __all__ = [
     "QueryDriverContext",
     "run_live_cluster",
     "run_live",
+    "tumbling_grid",
 ]
 
 #: Root node id, matching the simulated topology's convention.
@@ -345,7 +346,7 @@ def _cluster_summary(
     }
 
 
-def _grid(
+def tumbling_grid(
     streams: Mapping[int, Sequence[Event]], window_length_ms: int
 ) -> tuple[int, int]:
     """The tumbling-window grid ``[start, end)`` covering every event."""
@@ -363,7 +364,7 @@ def _grid(
         lo = share_lo if lo is None else min(lo, share_lo)
         hi = share_hi if hi is None else max(hi, share_hi)
     if lo is None:
-        raise ConfigurationError("live run needs at least one event")
+        raise ConfigurationError("run needs at least one event")
     start = (lo // window_length_ms) * window_length_ms
     end = (hi // window_length_ms + 1) * window_length_ms
     return start, end
@@ -406,7 +407,7 @@ async def run_live_cluster(
     length = config.query.window_length_ms
     if config.query.is_sliding:
         raise ConfigurationError("the live runtime seals tumbling grids only")
-    grid_start, grid_end = _grid(streams, length)
+    grid_start, grid_end = tumbling_grid(streams, length)
     expected_windows = (grid_end - grid_start) // length
 
     tolerance = config.tolerance
