@@ -21,7 +21,7 @@ import json
 import pathlib
 import sys
 
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.query import QuantileQuery
 from repro.errors import TransportError
 from repro.faults.plan import FaultEvent, FaultPlan, ToleranceConfig
@@ -59,7 +59,7 @@ def main() -> int:
     )
     # A high event rate so batches flush (and spans land in the ring)
     # in the short interval before the scripted death.
-    streams = workload(
+    streams = workload_columns(
         [1, 2], GeneratorConfig(event_rate=2000.0, duration_s=2.0, seed=7)
     )
 

@@ -253,20 +253,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
         )
         return 2
 
-    if args.uvloop:
-        # uvloop is an optional accelerator, never a requirement: when the
-        # module is absent the run proceeds on stock asyncio unchanged.
-        try:
-            import uvloop
-        except ImportError:
-            print(
-                "warning: --uvloop requested but uvloop is not installed; "
-                "continuing on the default asyncio event loop",
-                file=sys.stderr,
-            )
-        else:
-            uvloop.install()
-
     config, report = live_benchmark(
         n_locals=args.locals,
         streams_per_local=args.streams,
@@ -278,7 +264,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
         q=args.q,
         seed=args.seed,
         telemetry=_telemetry_from_args(args),
-        columnar=not args.objects,
     )
     completed = [o for o in report.outcomes if o.value is not None]
     print(
@@ -423,7 +408,7 @@ def _parse_membership(joins: list[str], leaves: list[str]):
 
 def _mesh_smoke(args: argparse.Namespace) -> int:
     """CI gate: elastic relay scenario graded, then the scale curve."""
-    from repro.bench.generator import GeneratorConfig, workload
+    from repro.bench.generator import GeneratorConfig, workload_columns
     from repro.bench.scale import DEFAULT_SCALE_PATH, write_scale_bench
     from repro.core.query import QuantileQuery
     from repro.errors import HarnessError
@@ -448,7 +433,7 @@ def _mesh_smoke(args: argparse.Namespace) -> int:
             MembershipEvent(at_ms=3_000, local_id=2, kind="leave"),
         ),
     )
-    streams = workload(
+    streams = workload_columns(
         [1, 2, 3, 4, 5],
         GeneratorConfig(event_rate=120.0, duration_s=4.0, seed=args.seed),
     )
@@ -504,7 +489,7 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
     if args.smoke:
         return _mesh_smoke(args)
 
-    from repro.bench.generator import GeneratorConfig, workload
+    from repro.bench.generator import GeneratorConfig, workload_columns
     from repro.bench.scale import DEFAULT_SCALE_PATH, write_scale_bench
     from repro.core.query import QuantileQuery
     from repro.errors import ConfigurationError, HarnessError
@@ -532,7 +517,7 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    streams = workload(
+    streams = workload_columns(
         list(range(1, args.locals + 1)) + joiners,
         GeneratorConfig(
             event_rate=args.rate, duration_s=args.duration, seed=args.seed
@@ -781,7 +766,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     import asyncio as _asyncio
     import queue as _queue
 
-    from repro.bench.generator import GeneratorConfig, workload
+    from repro.bench.generator import GeneratorConfig, workload_columns
     from repro.core.query import QuantileQuery
     from repro.mesh import MeshConfig, classify_outcomes, mesh_oracle, run_mesh
     from repro.obs.fleet import DEFAULT_FLEET_PATH, write_fleet_bench
@@ -804,7 +789,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         ),
         timeout_s=120.0,
     )
-    streams = workload(
+    streams = workload_columns(
         list(range(1, args.locals + 1)),
         GeneratorConfig(
             event_rate=args.rate, duration_s=args.duration, seed=args.seed
@@ -813,7 +798,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     scraped: dict = {}
 
     async def scrape_mid_run(ctx) -> None:
-        port = ports.get(timeout=5.0)
+        # Off the loop: the cluster announces the port from the loop.
+        port = await _asyncio.to_thread(ports.get, timeout=5.0)
         # Keep scraping until the collector holds merged digests (or the
         # run ends and cancels us) — the last successful scrape wins.
         while True:
@@ -1003,13 +989,6 @@ def main(argv: list[str] | None = None) -> int:
     live.add_argument("--bench", action="store_true",
                       help="write the BENCH_live.json artifact")
     live.add_argument("--bench-output", default=None, metavar="PATH")
-    live.add_argument("--objects", action="store_true",
-                      help="replay per-event objects instead of columnar "
-                           "batches (bit-identical results, slower)")
-    live.add_argument("--uvloop", action="store_true",
-                      help="install uvloop as the event-loop policy if "
-                           "available (falls back to asyncio with a "
-                           "warning when it is not)")
     _add_telemetry_flags(live)
 
     query = sub.add_parser(

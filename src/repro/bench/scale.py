@@ -20,7 +20,7 @@ import platform
 import sys
 from typing import Any
 
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.query import QuantileQuery
 from repro.errors import HarnessError
 from repro.mesh import (
@@ -97,7 +97,7 @@ def scale_benchmark(
     points: "list[dict[str, Any]]" = []
     for n_locals in curve:
         local_ids = list(range(1, n_locals + 1))
-        streams = workload(
+        streams = workload_columns(
             local_ids,
             GeneratorConfig(
                 event_rate=event_rate, duration_s=duration_s, seed=seed

@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
@@ -214,7 +214,7 @@ def run_chaos(
         scenario_name, seed=seed, horizon_s=duration_s, n_locals=n_locals
     )
     query = QuantileQuery(q=q, gamma=gamma)
-    streams = workload(
+    streams = workload_columns(
         list(range(1, n_locals + 1)),
         GeneratorConfig(
             event_rate=max(1.0, rate / n_locals),
@@ -222,9 +222,10 @@ def run_chaos(
             seed=seed,
         ),
     )
+    events = {node: list(columns) for node, columns in streams.items()}
     truth_report = DemaEngine(
         query, TopologyConfig(n_local_nodes=n_locals)
-    ).run(streams)
+    ).run(events)
     truth = {
         outcome.window: outcome.value
         for outcome in truth_report.outcomes
@@ -247,7 +248,7 @@ def run_chaos(
             root=engine.root,
             detect_after_s=scenario.detect_after_s,
         )
-        report = engine.run(streams)
+        report = engine.run(events)
         return ChaosReport(
             scenario=scenario_name,
             mode=mode,
@@ -349,7 +350,7 @@ def _run_mesh_chaos(
     assert victim is not None
 
     query = QuantileQuery(q=q, gamma=gamma)
-    streams = workload(
+    streams = workload_columns(
         list(range(1, n_locals + 1)),
         GeneratorConfig(
             event_rate=max(1.0, rate / n_locals),

@@ -26,6 +26,8 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.engine import DemaEngine
 from repro.core.local_node import DemaLocalNode
 from repro.core.root_node import DemaRootNode, WindowOutcome
@@ -54,7 +56,7 @@ from repro.runtime.transport import (
     MessageStream,
     TcpNetwork,
 )
-from repro.streaming.events import Event
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
 __all__ = [
@@ -65,6 +67,9 @@ __all__ = [
     "mesh_oracle",
     "classify_outcomes",
 ]
+
+#: The share of a local that has no stream: it replays only watermarks.
+_NO_EVENTS = EventColumns.from_wire(b"")
 
 #: Stream-server ids start here: above every local, shard and relay id.
 _STREAM_ID_BASE = 1 << 22
@@ -211,7 +216,7 @@ def _membership_ranges(
 
 
 def mesh_oracle(
-    streams: Mapping[int, Sequence[Event]],
+    streams: Mapping[int, EventColumns],
     config: MeshConfig,
 ) -> "dict[Window, float | None]":
     """Ground truth: the single-root engine on the truncated workload.
@@ -221,7 +226,9 @@ def mesh_oracle(
     past the boundary see none of my events", and a join means "windows
     before the boundary see none of mine".  The engine's empty-synopsis
     handling makes an ineligible local indistinguishable from an absent
-    one, so one engine run covers every membership schedule.
+    one, so one engine run covers every membership schedule.  Like the
+    engine it runs on event objects: each truncated stream is
+    materialized once, by iterating its columns.
     """
     length = config.query.window_length_ms
     grid_start, grid_end = tumbling_grid(streams, length)
@@ -281,7 +288,7 @@ def classify_outcomes(
 
 async def run_mesh_cluster(
     config: MeshConfig,
-    streams: Mapping[int, Sequence[Event]],
+    streams: Mapping[int, EventColumns],
     *,
     tracer: Tracer = NOOP_TRACER,
     disturb=None,
@@ -290,9 +297,10 @@ async def run_mesh_cluster(
 
     Args:
         config: Shards, relays, membership schedule, transport.
-        streams: Per-local event streams in timestamp order, keyed by
-            local id — including runtime joiners (their pre-join events
-            are dropped, as are a leaver's post-leave events).
+        streams: Per-local columnar event streams in timestamp order,
+            keyed by local id — including runtime joiners (their pre-join
+            events are dropped, as are a leaver's post-leave events).
+            :func:`mesh_oracle` grades a run from the same streams.
         tracer: Observability hooks; membership changes and relay
             combines are recorded as spans, current membership as the
             ``mesh_members`` gauge.
@@ -572,17 +580,13 @@ async def run_mesh_cluster(
                 uplinks[shard_node_id(index)] = stream
         await local.connect_upstreams(uplinks, join_from=join_from)
 
-        share = [
-            event
-            for event in streams.get(local_id, ())
-            if lo <= event.timestamp < hi
-        ]
-        split: list[list[Event]] = [
-            [] for _ in range(config.streams_per_local)
-        ]
-        for position, event in enumerate(share):
-            split[position % config.streams_per_local].append(event)
-        for events in split:
+        share = streams.get(local_id, _NO_EVENTS)
+        # The eligible range is one contiguous slice of the ordered share,
+        # and strided views of it give the round-robin split.
+        first, stop = np.searchsorted(share.timestamps, (lo, hi)).tolist()
+        share = share[first:stop]
+        n_split = config.streams_per_local
+        for events in (share[k::n_split] for k in range(n_split)):
             server = PhasedStreamServer(
                 next_stream_id[0],
                 events=events,
@@ -979,7 +983,7 @@ async def run_mesh_cluster(
 
 def run_mesh(
     config: MeshConfig,
-    streams: Mapping[int, Sequence[Event]],
+    streams: Mapping[int, EventColumns],
     *,
     tracer: Tracer = NOOP_TRACER,
     disturb=None,

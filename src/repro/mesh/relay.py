@@ -50,7 +50,6 @@ from repro.obs.live.context import TraceContext, trace_id_for_window
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.runtime.codec import Hello
 from repro.runtime.transport import FailureLatch, MessageStream
-from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
 # Hot-path module: candidate runs cross the relay as columnar batches in
@@ -102,18 +101,14 @@ def combine_runs(
     window: Window,
     contexts: "dict[tuple[int, int], TraceContext | None] | None" = None,
 ) -> RelayRunsMessage:
-    """Merge per-child candidate runs into one relay frame."""
-    keys = sorted(parts)
-    # Columnar runs pass through unconverted (they are immutable batch
-    # views); object runs snapshot to tuples exactly as before.
-    def section_events(events):
-        return (
-            events if isinstance(events, EventColumns) else tuple(events)
-        )
+    """Merge per-child candidate runs into one relay frame.
 
+    Each run passes through as it is (a columnar run is an immutable
+    batch view).
+    """
+    keys = sorted(parts)
     sections = tuple(
-        (child, index, section_events(parts[child, index].events))
-        for child, index in keys
+        (child, index, parts[child, index].events) for child, index in keys
     )
     section_contexts = (
         tuple(contexts.get(key) for key in keys) if contexts else ()

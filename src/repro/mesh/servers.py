@@ -30,10 +30,11 @@ All three are thin shells around the unmodified live hosts:
 from __future__ import annotations
 
 import asyncio
-import bisect
 import contextlib
 import dataclasses
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import TransportError
 from repro.network.messages import (
@@ -68,8 +69,11 @@ from repro.obs.live.context import (
 from repro.runtime.codec import Hello
 from repro.runtime.servers import LocalServer, RootServer, batches_for
 from repro.runtime.transport import MessageStream
-from repro.streaming.events import Event
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
+
+# Hot-path module: stream replay slices columns and never constructs
+# per-event ``Event`` objects (enforced by tests/test_hotpath_lint.py).
 
 __all__ = ["MeshRootServer", "MeshLocalServer", "PhasedStreamServer"]
 
@@ -757,13 +761,14 @@ class PhasedStreamServer:
     membership can never race.
     """
 
-    def __init__(self, stream_id: int, *, events: Sequence[Event],
+    def __init__(self, stream_id: int, *, events: EventColumns,
                  batch_size: int, grid_start: int, grid_end: int,
                  window_length_ms: int,
                  gates: "Mapping[int, asyncio.Event] | None" = None,
                  time_scale: float = 0.0) -> None:
         self.stream_id = stream_id
-        self._events = tuple(events)
+        #: Timestamp-ordered, so each phase is one contiguous slice.
+        self._events = events
         self._batch_size = max(1, batch_size)
         self._grid_start = grid_start
         self._grid_end = grid_end
@@ -779,13 +784,16 @@ class PhasedStreamServer:
         span = Window(
             self._grid_start, max(self._grid_end, self._grid_start + 1)
         )
-        timestamps = [event.timestamp for event in self._events]
-        boundaries = sorted(
-            b for b in self._gates if self._grid_start < b < self._grid_end
-        )
+        boundaries = [
+            *sorted(
+                b for b in self._gates
+                if self._grid_start < b < self._grid_end
+            ),
+            self._grid_end,
+        ]
+        stops = np.searchsorted(self._events.timestamps, boundaries).tolist()
         cursor = 0
-        for boundary in (*boundaries, self._grid_end):
-            stop = bisect.bisect_left(timestamps, boundary, cursor)
+        for boundary, stop in zip(boundaries, stops):
             await self._ship(
                 stream, self._events[cursor:stop], span, boundary
             )
@@ -797,7 +805,7 @@ class PhasedStreamServer:
     async def _ship(
         self,
         stream: MessageStream,
-        events: "tuple[Event, ...]",
+        events: EventColumns,
         span: Window,
         seal_to: int,
     ) -> None:
@@ -806,7 +814,7 @@ class PhasedStreamServer:
         loop = asyncio.get_event_loop()
         watermarked_window: int | None = None
         for batch in batches_for(events, length, self._batch_size):
-            last_ts = batch[-1].timestamp
+            last_ts = batch.timestamp_at(-1)
             if self._time_scale > 0 and self._epoch is not None:
                 # Same pacing contract as the flat cluster's StreamServer:
                 # a batch ending at event-time t leaves no earlier than
@@ -820,7 +828,7 @@ class PhasedStreamServer:
             await stream.send(
                 EventBatchMessage(
                     sender=self.stream_id,
-                    window=Window(batch[0].timestamp, last_ts + 1),
+                    window=Window(batch.timestamp_at(0), last_ts + 1),
                     events=batch,
                 )
             )

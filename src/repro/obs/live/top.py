@@ -175,7 +175,7 @@ def _demo(
 
     # Imported here, not at module top: repro.obs.live must stay importable
     # without repro.runtime (the codec depends on the former).
-    from repro.bench.generator import GeneratorConfig, workload
+    from repro.bench.generator import GeneratorConfig, workload_columns
     from repro.core.query import QuantileQuery
     from repro.obs.live.config import TelemetryConfig
 
@@ -193,7 +193,7 @@ def _demo(
             query=QuantileQuery(q=0.9, window_length_ms=500, gamma=64),
             telemetry=TelemetryConfig(sampler_interval_s=0.01),
         )
-        streams = workload(
+        streams = workload_columns(
             [1, 2, 3, 4],
             GeneratorConfig(event_rate=200.0, duration_s=2.0, seed=41),
         )
@@ -217,7 +217,7 @@ def _demo(
         time_scale=1.0,  # pace the replay so there is something to watch
         telemetry=TelemetryConfig(http_port=0, announce=ports.put),
     )
-    streams = workload(
+    streams = workload_columns(
         [1, 2], GeneratorConfig(event_rate=200.0, duration_s=2.0, seed=41)
     )
     print("repro top: no --port given; running a demo cluster", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.errors import ConfigurationError, QueryError
 from repro.obs.tracer import RecordingTracer, Tracer
 from repro.queries.client import QueryClient
@@ -159,7 +159,7 @@ def run_query_scenario(
         )
     n_queries = len(specs)
     local_ids = list(range(1, n_locals + 1))
-    streams = workload(
+    streams = workload_columns(
         local_ids,
         GeneratorConfig(
             event_rate=event_rate, duration_s=duration_s, seed=seed

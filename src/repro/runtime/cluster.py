@@ -49,7 +49,6 @@ from repro.runtime.transport import (
     TcpNetwork,
 )
 from repro.streaming.columns import EventColumns
-from repro.streaming.events import Event
 
 __all__ = [
     "LiveClusterConfig",
@@ -62,6 +61,9 @@ __all__ = [
 
 #: Root node id, matching the simulated topology's convention.
 ROOT_NODE_ID = 0
+
+#: The share of a local that has no stream: it replays only watermarks.
+_NO_EVENTS = EventColumns.from_wire(b"")
 
 #: Event timestamps are milliseconds; wall clock runs in seconds.
 _MS_PER_SECOND = 1000.0
@@ -347,24 +349,14 @@ def _cluster_summary(
 
 
 def tumbling_grid(
-    streams: Mapping[int, Sequence[Event]], window_length_ms: int
+    streams: Mapping[int, EventColumns], window_length_ms: int
 ) -> tuple[int, int]:
     """The tumbling-window grid ``[start, end)`` covering every event."""
-    lo = hi = None
-    for events in streams.values():
-        if not len(events):
-            continue
-        if isinstance(events, EventColumns):
-            # Columnar shares answer min/max off the timestamp array.
-            share_lo = events.min_timestamp()
-            share_hi = events.max_timestamp()
-        else:
-            share_lo = min(event.timestamp for event in events)
-            share_hi = max(event.timestamp for event in events)
-        lo = share_lo if lo is None else min(lo, share_lo)
-        hi = share_hi if hi is None else max(hi, share_hi)
-    if lo is None:
+    shares = [events for events in streams.values() if len(events)]
+    if not shares:
         raise ConfigurationError("run needs at least one event")
+    lo = min(events.min_timestamp() for events in shares)
+    hi = max(events.max_timestamp() for events in shares)
     start = (lo // window_length_ms) * window_length_ms
     end = (hi // window_length_ms + 1) * window_length_ms
     return start, end
@@ -372,7 +364,7 @@ def tumbling_grid(
 
 async def run_live_cluster(
     config: LiveClusterConfig,
-    streams: Mapping[int, Sequence[Event]],
+    streams: Mapping[int, EventColumns],
     *,
     tracer: Tracer = NOOP_TRACER,
     driver: Callable[
@@ -383,9 +375,11 @@ async def run_live_cluster(
 
     Args:
         config: Deployment shape, transport and pacing.
-        streams: Per-**local-node** event streams (keys ``1..n_locals``),
-            each in timestamp order; a local's stream is split round-robin
-            over its stream servers exactly as the simulated engine does.
+        streams: Per-**local-node** columnar event streams (keys
+            ``1..n_locals``), each in timestamp order; a local's stream is
+            split round-robin over its stream servers exactly as the
+            simulated engine does.  The oracle for the same workload is
+            :class:`~repro.core.engine.DemaEngine` on ``list(columns)``.
         tracer: Observability hooks; live message deliveries are recorded
             as protocol traces.
         driver: Optional query-plane driver coroutine.  When given, the
@@ -590,19 +584,11 @@ async def run_live_cluster(
             await network.listen(local_id, local.serve)
             await local.connect_root(await dial_root())
 
-            share = streams.get(local_id, ())
+            share = streams.get(local_id, _NO_EVENTS)
             n_shards = config.streams_per_local
-            if isinstance(share, EventColumns):
-                # Strided views give exactly the round-robin assignment
-                # (shard k takes events k, k+n, k+2n, …) without copying.
-                shards: list[Sequence[Event]] = [
-                    share[k::n_shards] for k in range(n_shards)
-                ]
-            else:
-                shards = [[] for _ in range(n_shards)]
-                for index, event in enumerate(share):
-                    shards[index % n_shards].append(event)
-            for shard in shards:
+            # Strided views give exactly the round-robin assignment
+            # (shard k takes events k, k+n, k+2n, …) without copying.
+            for shard in (share[k::n_shards] for k in range(n_shards)):
                 server = StreamServer(
                     next_stream_id,
                     events=shard,
@@ -828,7 +814,7 @@ async def run_live_cluster(
 
 def run_live(
     config: LiveClusterConfig,
-    streams: Mapping[int, Sequence[Event]],
+    streams: Mapping[int, EventColumns],
     *,
     tracer: Tracer = NOOP_TRACER,
     driver: Callable[

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Protocol
 
-from repro.errors import TransportError
+from repro.errors import CodecError, TransportError
 from repro.network.messages import Message
 from repro.obs.live.context import TraceContext, current_context
 from repro.runtime import wire
@@ -234,7 +234,7 @@ class TcpMessageStream:
             return None
         (length,) = wire.LENGTH_PREFIX.unpack(prefix)
         if length > wire.MAX_FRAME_BYTES:
-            raise TransportError(
+            raise CodecError(
                 f"peer announced a {length}-byte frame "
                 f"(max {wire.MAX_FRAME_BYTES})"
             )
@@ -298,6 +298,10 @@ class TcpNetwork:
                 await handler(stream)
             except asyncio.CancelledError:
                 raise
+            except CodecError:
+                # Bytes the codec rejects are a protocol error on this
+                # connection only: drop it, and leave the run alone.
+                pass
             except BaseException as exc:
                 if self._failures is not None:
                     self._failures.record(exc)

@@ -8,7 +8,7 @@ coordinator.
 
 import pytest
 
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.query import QuantileQuery
 from repro.faults.plan import ToleranceConfig
 from repro.mesh import (
@@ -23,7 +23,7 @@ QUERY = QuantileQuery(q=0.5, gamma=10_000)
 
 
 def streams_for(local_ids, rate=120.0, duration=3.0, seed=42):
-    return workload(
+    return workload_columns(
         list(local_ids),
         GeneratorConfig(event_rate=rate, duration_s=duration, seed=seed),
     )

@@ -16,7 +16,7 @@ land after completion and test nothing.
 
 import pytest
 
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
 from repro.faults.plan import ToleranceConfig
@@ -42,7 +42,7 @@ N_LOCALS = 6
 def streams_20_windows():
     """A 20-window tumbling grid: enough for every shard to own several
     windows before and after the kill."""
-    return workload(
+    return workload_columns(
         list(range(1, N_LOCALS + 1)),
         GeneratorConfig(event_rate=40.0, duration_s=20.0, seed=42),
     )

@@ -17,7 +17,7 @@ Three contracts:
 
 import pytest
 
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.query import QuantileQuery
 from repro.faults.plan import ToleranceConfig
 from repro.mesh.cluster import classify_outcomes, mesh_oracle, run_mesh
@@ -43,7 +43,7 @@ TELEMETRY = TelemetryConfig(sampler_interval_s=0.0)
 
 
 def streams_for(duration_s=8.0, seed=42):
-    return workload(
+    return workload_columns(
         list(range(1, N_LOCALS + 1)),
         GeneratorConfig(event_rate=40.0, duration_s=duration_s, seed=seed),
     )

@@ -12,17 +12,26 @@ pytest-timeout).
 
 import contextlib
 import functools
+import queue
+import random
 import signal
+import socket
+import threading
+import time
 
 import pytest
 
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
 from repro.network.topology import TopologyConfig
 from repro.obs.tracer import RecordingTracer
+from repro.runtime import cluster as cluster_module
+from repro.runtime import wire
 from repro.runtime.cluster import LiveClusterConfig, run_live
+from repro.runtime.transport import FailureLatch, TcpNetwork
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
 
 #: Fixed γ: adaptive γ would feed back each substrate's own timing, which
@@ -48,11 +57,10 @@ def hard_timeout(seconds: int):
 
 @functools.lru_cache(maxsize=1)
 def _streams():
-    generated = workload(
+    return workload_columns(
         list(range(1, N_LOCALS + 1)),
         GeneratorConfig(event_rate=300.0, duration_s=3.0, seed=11),
     )
-    return {node: tuple(events) for node, events in generated.items()}
 
 
 @functools.lru_cache(maxsize=1)
@@ -113,7 +121,11 @@ def test_tcp_smoke():
 
 
 def test_paced_replay_respects_time_scale():
-    streams = {1: tuple(Event(float(i), i * 10, 1, i) for i in range(100))}
+    streams = {
+        1: EventColumns.from_events(
+            Event(float(i), i * 10, 1, i) for i in range(100)
+        )
+    }
     with hard_timeout(120):
         report = run_live(
             _config(n_locals=1, streams_per_local=1, time_scale=0.25),
@@ -122,6 +134,60 @@ def test_paced_replay_respects_time_scale():
     # 990 ms of event time at 0.25 wall seconds per event-time second.
     assert report.wall_seconds >= 0.2
     assert len(_live_values(report)) == 1
+
+
+def _garbage(kind: str) -> bytes:
+    """Random bytes behind a length prefix the codec must reject."""
+    noise = random.Random(13).randbytes(512)
+    if kind == "oversized-prefix":
+        return wire.LENGTH_PREFIX.pack(wire.MAX_FRAME_BYTES + 1) + noise
+    return wire.LENGTH_PREFIX.pack(len(noise)) + noise
+
+
+@pytest.mark.parametrize("kind", ["oversized-prefix", "framed-noise"])
+def test_garbage_peer_is_dropped_without_failing_the_run(monkeypatch, kind):
+    """A peer the codec rejects loses its connection, not the cluster."""
+    latches: list[FailureLatch] = []
+
+    class RecordingLatch(FailureLatch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            latches.append(self)
+
+    local_ports: "queue.Queue[int]" = queue.Queue()
+    listen = TcpNetwork.listen
+
+    async def recording_listen(self, node_id, handler):
+        port = await listen(self, node_id, handler)
+        if node_id == 1:
+            local_ports.put(port)
+        return port
+
+    monkeypatch.setattr(cluster_module, "FailureLatch", RecordingLatch)
+    monkeypatch.setattr(TcpNetwork, "listen", recording_listen)
+    hung_up: list[bool] = []
+
+    def send_garbage():
+        port = local_ports.get(timeout=30.0)
+        time.sleep(0.2)  # the paced replay is under way by now
+        with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+            sock.sendall(_garbage(kind))
+            try:
+                hung_up.append(sock.recv(1) == b"")
+            except ConnectionResetError:
+                hung_up.append(True)
+
+    attacker = threading.Thread(target=send_garbage, daemon=True)
+    attacker.start()
+    with hard_timeout(120):
+        report = run_live(
+            _config(transport="tcp", time_scale=0.5), _streams()
+        )
+    attacker.join(timeout=30.0)
+
+    assert hung_up == [True]
+    assert _live_values(report) == _simulated_values()
+    assert len(latches) == 1 and latches[0].error is None
 
 
 def test_tracer_records_live_links_and_messages():
@@ -192,8 +258,11 @@ class TestConfigValidation:
 
     def test_rejects_unknown_stream_keys(self):
         with pytest.raises(ConfigurationError, match="unknown local nodes"):
-            run_live(_config(), {99: (Event(1.0, 0, 99, 0),)})
+            run_live(
+                _config(), {99: EventColumns.from_events([Event(1.0, 0, 99, 0)])}
+            )
 
     def test_rejects_empty_workload(self):
         with pytest.raises(ConfigurationError, match="at least one event"):
-            run_live(_config(), {1: (), 2: ()})
+            empty = EventColumns.from_events([])
+            run_live(_config(), {1: empty, 2: empty})

@@ -28,7 +28,7 @@ import urllib.request
 
 import pytest
 
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.errors import TransportError
@@ -70,11 +70,10 @@ def hard_timeout(seconds: int):
 
 @functools.lru_cache(maxsize=1)
 def _streams():
-    generated = workload(
+    return workload_columns(
         list(range(1, N_LOCALS + 1)),
         GeneratorConfig(event_rate=300.0, duration_s=3.0, seed=11),
     )
-    return {node: tuple(events) for node, events in generated.items()}
 
 
 @functools.lru_cache(maxsize=1)
@@ -208,7 +207,7 @@ def test_scrape_endpoint_serves_during_a_live_run():
         time_scale=1.0,  # paced: the run stays alive long enough to scrape
         telemetry=TelemetryConfig(http_port=0, announce=ports.put),
     )
-    streams = workload(
+    streams = workload_columns(
         [1, 2], GeneratorConfig(event_rate=150.0, duration_s=2.0, seed=23)
     )
 
@@ -267,7 +266,7 @@ def test_endpoint_rejects_unknown_paths_and_bad_windows():
         time_scale=1.0,
         telemetry=TelemetryConfig(http_port=0, announce=ports.put),
     )
-    streams = workload(
+    streams = workload_columns(
         [1, 2], GeneratorConfig(event_rate=100.0, duration_s=1.0, seed=29)
     )
     done: dict = {}

@@ -10,7 +10,7 @@ import asyncio
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import CodecError, TransportError
 from repro.network.messages import (
     EventBatchMessage,
     GammaUpdateMessage,
@@ -194,7 +194,7 @@ def test_tcp_oversize_frame_announcement_raises():
         async def handler(stream):
             try:
                 await stream.recv()
-            except TransportError as exc:
+            except CodecError as exc:
                 error.set_result(str(exc))
 
         port = await network.listen(9, handler)

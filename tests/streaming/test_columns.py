@@ -5,24 +5,10 @@ import struct
 
 import pytest
 
-from repro.errors import CodecError, ConfigurationError
+from repro.errors import CodecError
 from repro.runtime import wire
-from repro.streaming import columns
-from repro.streaming.columns import (
-    EventColumns,
-    concat_columns,
-    get_backend,
-    merge_runs,
-    set_backend,
-)
+from repro.streaming.columns import EventColumns, concat_columns, merge_runs
 from repro.streaming.events import Event, event_key, make_events
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request):
-    previous = set_backend(request.param)
-    yield request.param
-    set_backend(previous)
 
 
 def _pack(events):
@@ -41,36 +27,36 @@ EVENTS = (
 
 
 class TestConstruction:
-    def test_from_wire_roundtrip(self, backend):
+    def test_from_wire_roundtrip(self):
         cols = EventColumns.from_wire(_pack(EVENTS))
         assert len(cols) == len(EVENTS)
         assert tuple(cols) == EVENTS
         assert cols.to_wire() == _pack(EVENTS)
 
-    def test_from_events_matches_from_wire(self, backend):
+    def test_from_events_matches_from_wire(self):
         assert EventColumns.from_events(EVENTS) == EventColumns.from_wire(
             _pack(EVENTS)
         )
 
-    def test_empty(self, backend):
+    def test_empty(self):
         cols = EventColumns.from_wire(b"")
         assert len(cols) == 0
         assert tuple(cols) == ()
         assert cols.to_wire() == b""
 
-    def test_stride_mismatch_rejected(self, backend):
+    def test_stride_mismatch_rejected(self):
         with pytest.raises(CodecError, match="stride"):
             EventColumns.from_wire(_pack(EVENTS)[:-3])
 
-    def test_count_mismatch_rejected(self, backend):
+    def test_count_mismatch_rejected(self):
         with pytest.raises(CodecError, match="announced"):
             EventColumns.from_wire(_pack(EVENTS), count=3)
 
-    def test_count_match_accepted(self, backend):
+    def test_count_match_accepted(self):
         cols = EventColumns.from_wire(_pack(EVENTS), count=len(EVENTS))
         assert len(cols) == len(EVENTS)
 
-    def test_nan_bits_survive_roundtrip(self, backend):
+    def test_nan_bits_survive_roundtrip(self):
         # A non-default NaN payload must come back bit for bit.
         raw = struct.pack(
             "<dIII", struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0],
@@ -82,7 +68,7 @@ class TestConstruction:
 
 
 class TestSequenceProtocol:
-    def test_indexing_materializes_pure_python_types(self, backend):
+    def test_indexing_materializes_pure_python_types(self):
         cols = EventColumns.from_events(EVENTS)
         event = cols[1]
         assert event == EVENTS[1]
@@ -92,7 +78,7 @@ class TestSequenceProtocol:
         assert type(event.seq) is int
         assert cols[-1] == EVENTS[-1]
 
-    def test_slicing_returns_columns(self, backend):
+    def test_slicing_returns_columns(self):
         cols = EventColumns.from_events(EVENTS)
         assert isinstance(cols[1:3], EventColumns)
         assert tuple(cols[1:3]) == EVENTS[1:3]
@@ -100,7 +86,7 @@ class TestSequenceProtocol:
         assert tuple(cols[1::2]) == EVENTS[1::2]
         assert cols[1:3].to_wire() == _pack(EVENTS[1:3])
 
-    def test_equality_against_event_sequences(self, backend):
+    def test_equality_against_event_sequences(self):
         cols = EventColumns.from_events(EVENTS)
         assert cols == EVENTS
         assert EVENTS == cols
@@ -109,7 +95,7 @@ class TestSequenceProtocol:
         assert cols != EVENTS[:-1] + (Event(99.0, 1, 1, 99),)
         assert hash(cols) == hash(EVENTS)
 
-    def test_keys_and_timestamps(self, backend):
+    def test_keys_and_timestamps(self):
         cols = EventColumns.from_events(EVENTS)
         assert cols.key_at(0) == EVENTS[0].key
         assert cols.key_at(-1) == EVENTS[-1].key
@@ -117,48 +103,15 @@ class TestSequenceProtocol:
         assert cols.timestamp_at(2) == 9
         assert cols.min_timestamp() == 9
         assert cols.max_timestamp() == 12
-        assert not cols.timestamps_sorted()
-        assert EventColumns.from_events(
-            sorted(EVENTS, key=lambda e: e.timestamp)
-        ).timestamps_sorted()
-
-
-class TestBackends:
-    def test_backend_switch_round_trips(self):
-        previous = set_backend("python")
-        try:
-            py = EventColumns.from_events(EVENTS)
-            set_backend("numpy")
-            np_cols = EventColumns.from_events(EVENTS)
-        finally:
-            set_backend(previous)
-        assert py == np_cols
-        assert py.to_wire() == np_cols.to_wire()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            set_backend("fortran")
-        assert get_backend() in ("numpy", "python")
-
-    def test_mixed_backend_concat(self):
-        previous = set_backend("python")
-        try:
-            py = EventColumns.from_events(EVENTS[:2])
-            set_backend("numpy")
-            np_cols = EventColumns.from_events(EVENTS[2:])
-            merged = concat_columns([py, np_cols])
-        finally:
-            set_backend(previous)
-        assert tuple(merged) == EVENTS
 
 
 class TestMergeRuns:
-    def test_sorts_like_object_path(self, backend):
+    def test_sorts_like_object_path(self):
         pending = EventColumns.from_events(EVENTS)
         merged = merge_runs(None, pending)
         assert list(merged) == sorted(EVENTS, key=event_key)
 
-    def test_merges_into_run(self, backend):
+    def test_merges_into_run(self):
         base = sorted(EVENTS, key=event_key)
         run = merge_runs(None, EventColumns.from_events(base))
         extra = make_events([2.0, -5.0], node_id=9, start_timestamp=20)
@@ -167,7 +120,7 @@ class TestMergeRuns:
             list(EVENTS) + list(extra), key=event_key
         )
 
-    def test_nan_matches_object_sort_exactly(self, backend):
+    def test_nan_matches_object_sort_exactly(self):
         events = [
             Event(value=2.0, timestamp=0, node_id=1, seq=0),
             Event(value=float("nan"), timestamp=1, node_id=1, seq=1),
@@ -184,7 +137,7 @@ class TestMergeRuns:
             (e.node_id, e.seq) for e in expected
         ]
 
-    def test_nan_merge_into_run_matches_object_merge(self, backend):
+    def test_nan_merge_into_run_matches_object_merge(self):
         # Distinct NaN objects per event, exactly as wire decode produces
         # them.  (A shared NaN object would flip tuple comparisons via
         # CPython's identity fast path — an order production never sees.)
@@ -216,7 +169,7 @@ class TestMergeRuns:
             (e.node_id, e.seq) for e in merged_obj
         ]
 
-    def test_duplicate_keys_stable(self, backend):
+    def test_duplicate_keys_stable(self):
         # node_id/seq pairs make keys strict in production; a pathological
         # exact-duplicate key must still sort stably (run before pending).
         twin = Event(value=1.0, timestamp=0, node_id=1, seq=0)
@@ -226,7 +179,7 @@ class TestMergeRuns:
 
 
 class TestConcat:
-    def test_concat_orders_chunks(self, backend):
+    def test_concat_orders_chunks(self):
         a = EventColumns.from_events(EVENTS[:2])
         b = EventColumns.from_events(EVENTS[2:])
         assert tuple(concat_columns([a, b])) == EVENTS

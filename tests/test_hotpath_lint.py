@@ -16,9 +16,15 @@ import re
 from types import SimpleNamespace
 
 import repro
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.calculation import calculate_quantile
+from repro.core.engine import DemaEngine
+from repro.core.query import QuantileQuery
+from repro.mesh import MeshConfig, classify_outcomes, mesh_oracle, run_mesh
 from repro.mesh.relay import explode_runs
 from repro.network.messages import RelayRunsMessage
+from repro.network.topology import TopologyConfig
+from repro.runtime.cluster import LiveClusterConfig, run_live
 from repro.runtime.codec import decode_frame, encode_frame
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import make_events
@@ -42,6 +48,7 @@ EXPECTED_MARKED = {
     "core/slicing.py",
     "core/sorted_window.py",
     "mesh/relay.py",
+    "mesh/servers.py",
     "runtime/codec.py",
     "runtime/servers.py",
     "runtime/transport.py",
@@ -114,3 +121,57 @@ def test_columnar_calculation_never_iterates_a_batch(monkeypatch):
     monkeypatch.setattr(EventColumns, "__iter__", no_iteration)
     answer = calculate_quantile(cut, runs)
     assert (answer.value, answer.node_id, answer.seq) == (3.0, 2, 1)
+
+
+# End to end: with iteration disabled, a live run and a relayed mesh run
+# must still serve every window — no layer between the workload columns
+# and the answer may fall back to per-event objects.  The oracles
+# materialize events themselves, so they run before the patch.
+
+GUARD_QUERY = QuantileQuery(q=0.5, gamma=64)
+
+
+def _guard_streams():
+    return workload_columns(
+        [1, 2], GeneratorConfig(event_rate=300.0, duration_s=3.0, seed=11)
+    )
+
+
+def _forbid_iteration(monkeypatch):
+    def no_iteration(self):
+        raise AssertionError("EventColumns iterated on the live path")
+
+    monkeypatch.setattr(EventColumns, "__iter__", no_iteration)
+
+
+def _served(outcomes):
+    return {o.window: o.value for o in outcomes if o.value is not None}
+
+
+def test_live_run_never_iterates_columns(monkeypatch):
+    streams = _guard_streams()
+    expected = _served(
+        DemaEngine(GUARD_QUERY, TopologyConfig(n_local_nodes=2))
+        .run({node: list(columns) for node, columns in streams.items()})
+        .outcomes
+    )
+    _forbid_iteration(monkeypatch)
+    report = run_live(
+        LiveClusterConfig(n_locals=2, query=GUARD_QUERY, transport="memory"),
+        streams,
+    )
+    assert len(expected) >= 3
+    assert _served(report.outcomes) == expected
+
+
+def test_mesh_run_never_iterates_columns(monkeypatch):
+    streams = _guard_streams()
+    config = MeshConfig(
+        n_locals=2, n_shards=2, relay_fanin=2, query=GUARD_QUERY,
+        transport="memory",
+    )
+    truth = mesh_oracle(streams, config)
+    _forbid_iteration(monkeypatch)
+    report = run_mesh(config, streams)
+    classes = classify_outcomes(truth, report.outcomes)
+    assert classes["recovered"] == len(truth) >= 3
