@@ -16,6 +16,9 @@ Benchmark boundaries are chosen to stay comparable across refactors:
     regardless of where an implementation chooses to pay the sort.
 ``cut_slice``
     γ-slicing an already sorted run into synopses.
+``cut_slice_columnar``
+    The same γ-slicing over a sealed columnar window, the live path's
+    input.
 ``tdigest_merge``
     Root-style :meth:`TDigest.merge_all` over pre-built digests.
 ``codec_roundtrip``
@@ -166,6 +169,21 @@ def bench_cut_slice(config: HotpathConfig) -> float:
     return _best_of(run, config.repeats)
 
 
+def bench_cut_slice_columnar(config: HotpathConfig) -> float:
+    """Events/s through γ-slicing of a sealed columnar window."""
+    window = SortedLocalWindow()
+    window.add_all(EventColumns.from_events(
+        _shuffled_events(config.slice_events, config.seed + 1)
+    ))
+    events = window.seal()
+
+    def run() -> int:
+        slice_sorted_events(events, config.gamma, node_id=1)
+        return len(events)
+
+    return _best_of(run, config.repeats)
+
+
 def bench_tdigest_merge(config: HotpathConfig) -> float:
     """Digest merges/s through TDigest.merge_all (root-side aggregation)."""
     rng = random.Random(f"hotpath-digest:{config.seed}")
@@ -263,6 +281,7 @@ BENCHMARKS: dict[str, Callable[[HotpathConfig], float]] = {
     "ingest_sort_events_per_s": bench_ingest_sort,
     "ingest_columnar_events_per_s": bench_ingest_columnar,
     "cut_slice_events_per_s": bench_cut_slice,
+    "cut_slice_columnar_events_per_s": bench_cut_slice_columnar,
     "tdigest_merges_per_s": bench_tdigest_merge,
     "codec_roundtrip_events_per_s": bench_codec_roundtrip,
     "codec_columnar_events_per_s": bench_codec_columnar,

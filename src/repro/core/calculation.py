@@ -7,11 +7,13 @@ candidates' total order on ``(value, node_id, seq)`` and selects the element
 at local rank ``k − n_below``.
 
 Runs decoded off the wire are columnar batches; for those the merge is one
-stable lexsort over the concatenated columns
-(:func:`~repro.streaming.columns.merge_sorted_runs`), and the selected
-element is the only event ever materialized.  Object runs (the simulator's)
-and runs holding a NaN value take the k-way ``heapq`` merge over event
-objects, whose comparison order is the reference both paths reproduce.
+sort of the concatenated columns
+(:func:`~repro.streaming.columns.merge_sorted_runs`): an ``argsort`` of the
+values, and a stable three-key ``lexsort`` only when two values tie.  The
+selected element is the only event ever materialized.  Object runs (the
+simulator's) and runs holding a NaN value take the k-way ``heapq`` merge
+over event objects, whose comparison order is the reference both paths
+reproduce.
 """
 
 from __future__ import annotations

@@ -101,24 +101,35 @@ def slice_sorted_events(
     if len(boundaries) > 1 and n - boundaries[-1] == 1:
         boundaries.pop()
 
-    columnar = isinstance(sorted_events, EventColumns)
-    runs = []
-    for b, start in enumerate(boundaries):
-        end = boundaries[b + 1] if b + 1 < len(boundaries) else n
-        # Columnar runs are zero-copy views into the window's arrays.
-        run = sorted_events[start:end]
-        runs.append(run if columnar else tuple(run))
+    ends = boundaries[1:] + [n]
+    if isinstance(sorted_events, EventColumns):
+        # Columnar runs are zero-copy views into the window's arrays; the
+        # boundary keys of all slices come from two gathers.
+        runs = [
+            sorted_events[start:end] for start, end in zip(boundaries, ends)
+        ]
+        first_keys = sorted_events.keys_at(boundaries)
+        last_keys = sorted_events.keys_at([end - 1 for end in ends])
+    else:
+        runs = [
+            tuple(sorted_events[start:end])
+            for start, end in zip(boundaries, ends)
+        ]
+        first_keys = [run[0].key for run in runs]
+        last_keys = [run[-1].key for run in runs]
 
     n_slices = len(runs)
     synopses = tuple(
         SliceSynopsis(
-            first_key=run.key_at(0) if columnar else run[0].key,
-            last_key=run.key_at(-1) if columnar else run[-1].key,
-            count=len(run),
+            first_key=first_key,
+            last_key=last_key,
+            count=end - start,
             node_id=node_id,
             slice_index=index,
             n_slices=n_slices,
         )
-        for index, run in enumerate(runs)
+        for index, (start, end, first_key, last_key) in enumerate(
+            zip(boundaries, ends, first_keys, last_keys)
+        )
     )
     return SlicedWindow(node_id=node_id, runs=tuple(runs), synopses=synopses)

@@ -15,8 +15,10 @@ Two ingest shapes share the class:
   O(1) ingest cost per event and none of the O(n) ``memmove`` traffic
   binary insertion pays on large windows.
 * **Columnar batches** (the live hot path): :class:`EventColumns` chunks
-  collect unconverted; compaction concatenates them and sorts/merges on
-  the parallel arrays via :func:`repro.streaming.columns.merge_runs`,
+  collect unconverted (a running count keeps ``len`` O(1) per batch);
+  compaction concatenates them and sorts on the parallel arrays via
+  :func:`repro.streaming.columns.merge_runs` — one ``argsort`` of the
+  values, with a stable three-key ``lexsort`` only when two values tie —
   never materializing per-event objects.  The run itself then *stays*
   columnar through :meth:`seal` into slicing.
 
@@ -47,7 +49,7 @@ __all__ = ["SortedLocalWindow"]
 class SortedLocalWindow:
     """Events of one local window, kept sorted by total-order key."""
 
-    __slots__ = ("_run", "_buffer", "_chunks", "_sealed")
+    __slots__ = ("_run", "_buffer", "_chunks", "_chunked", "_sealed")
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
         # _run is list[Event] (object mode) or EventColumns (columnar).
@@ -57,14 +59,12 @@ class SortedLocalWindow:
             self._run = sorted(events, key=event_key)
         self._buffer: list[Event] = []
         self._chunks: list[EventColumns] = []
+        # Events held in ``_chunks``, so ``len`` stays O(1) per batch.
+        self._chunked = 0
         self._sealed = False
 
     def __len__(self) -> int:
-        return (
-            len(self._run)
-            + len(self._buffer)
-            + sum(len(chunk) for chunk in self._chunks)
-        )
+        return len(self._run) + len(self._buffer) + self._chunked
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate events in sorted order (compacts first)."""
@@ -101,6 +101,7 @@ class SortedLocalWindow:
         if isinstance(events, EventColumns):
             if len(events):
                 self._chunks.append(events)
+                self._chunked += len(events)
         else:
             self._buffer.extend(events)
 
@@ -139,6 +140,7 @@ class SortedLocalWindow:
                     run if isinstance(run, EventColumns) else None, pending
                 )
                 self._chunks = []
+                self._chunked = 0
                 return
             # Mixed object/columnar feed: degrade to the object algorithm
             # over everything.  Chunk events join the pending buffer; a
@@ -146,6 +148,7 @@ class SortedLocalWindow:
             for chunk in chunks:
                 buf.extend(chunk)
             self._chunks = []
+            self._chunked = 0
             if isinstance(run, EventColumns):
                 self._run = list(run)
         elif isinstance(self._run, EventColumns) and buf:

@@ -147,6 +147,15 @@ def classify_slice(unit: SliceUnit, member: SliceSynopsis) -> SliceKind:
         raise IdentificationError(
             f"slice {member.slice_id} is not a member of the unit"
         )
+    return _member_kind(unit, member)
+
+
+def _member_kind(unit: SliceUnit, member: SliceSynopsis) -> SliceKind:
+    """:func:`classify_slice` for a ``member`` known to be in ``unit``.
+
+    Callers that iterate ``unit.members`` skip the membership scan, a
+    linear pass of dataclass ``==`` that would dominate on large units.
+    """
     if len(unit.members) == 1:
         return SliceKind.SEPARATE
     for other in unit.members:
@@ -160,5 +169,5 @@ def unit_statistics(units: Sequence[SliceUnit]) -> dict[str, int]:
     counts = {kind.value: 0 for kind in SliceKind}
     for unit in units:
         for member in unit.members:
-            counts[classify_slice(unit, member).value] += 1
+            counts[_member_kind(unit, member).value] += 1
     return counts

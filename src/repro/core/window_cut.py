@@ -30,7 +30,12 @@ from typing import Iterable, Sequence
 
 from repro.errors import IdentificationError
 from repro.core.synopsis import SliceSynopsis
-from repro.core.units import SliceKind, SliceUnit, build_units, classify_slice
+from repro.core.units import (
+    SliceKind,
+    SliceUnit,
+    _member_kind,
+    build_units,
+)
 
 __all__ = [
     "CutResult",
@@ -335,5 +340,5 @@ def _census(
     for unit in units:
         for member in unit.members:
             if member.slice_id in chosen:
-                counts[classify_slice(unit, member).value] += 1
+                counts[_member_kind(unit, member).value] += 1
     return counts

@@ -13,8 +13,9 @@ is exactly where the hot-path lint allows construction.
 
 Columns are views into one structured ndarray with the exact wire dtype
 (:data:`EVENT_DTYPE`), so decode is ``np.frombuffer`` and encode is
-``tobytes`` — no per-event work at all.  Sorting uses a stable
-``np.lexsort`` over the total-order key.
+``tobytes`` — no per-event work at all.  Sorting is one ``np.argsort`` of
+the value column; only when two values tie does a stable three-key
+``np.lexsort`` over the total-order key decide.
 
 **Bit-identity contract.**  Every operation here produces *exactly* the
 sequence the object path produces:
@@ -23,18 +24,22 @@ sequence the object path produces:
   pairs are unique), so for NaN-free data any correct sort yields the one
   sorted permutation, and a *stable* sort over ``run ++ buffer`` equals
   the object path's "sort buffer, then merge with run priority on ties"
-  even if keys ever collide.  ``np.lexsort`` is stable, so it
-  qualifies.
+  even if keys ever collide.  When no two values compare equal, the key
+  order is the value order and its sorted permutation is unique, so the
+  value ``argsort`` (not stable) yields it.  When two do — a duplicate,
+  ``0.0`` against ``-0.0``, a repeated infinity — the stable
+  ``np.lexsort`` over the whole key runs instead, as the tie rule.
 * NaN values break comparison sorts deterministically-but-arbitrarily;
-  ``np.lexsort`` would instead push NaNs last, diverging from the object
+  numpy's sorts would instead push NaNs last, diverging from the object
   path.  Batches containing NaN therefore fall back to a comparison
   mirror — index sort with the same key tuples plus the same two-pointer
   merge — which performs the identical comparisons in the identical
   order, reproducing the object path's permutation bit for bit.
 * The root's merge of fetched candidate runs (:func:`merge_sorted_runs`)
-  follows the same rule: one stable ``np.lexsort`` over the concatenated
-  runs when they are NaN-free, and otherwise nothing — the calculation
-  step then runs its ``heapq`` merge over event objects.
+  follows the same rule: the same value sort with the lexsort tie rule
+  over the concatenated runs when they are NaN-free, and otherwise
+  nothing — the calculation step then runs its ``heapq`` merge over
+  event objects.
 """
 
 from __future__ import annotations
@@ -220,11 +225,14 @@ class EventColumns:
 
     # -- scalar accessors (exact Python types, for synopsis keys) -------
 
-    def key_at(self, index: int) -> tuple[float, int, int]:
-        """The strict total-order key of event ``index``, as pure floats
-        and ints — byte-identical to ``Event.key`` on the object path."""
-        rec = self._arr[index]
-        return (float(rec["value"]), int(rec["node_id"]), int(rec["seq"]))
+    def keys_at(self, indices) -> list[tuple[float, int, int]]:
+        """The strict total-order keys of the events at ``indices``, as
+        pure floats and ints — byte-identical to ``Event.key`` on the
+        object path.  One gather and one ``tolist`` for all of them."""
+        return [
+            (value, node_id, seq)
+            for value, _, node_id, seq in self._arr.take(indices).tolist()
+        ]
 
     def timestamp_at(self, index: int) -> int:
         return int(self._arr[index]["timestamp"])
@@ -261,7 +269,10 @@ def concat_columns(chunks: Sequence[EventColumns]) -> EventColumns:
         return chunks[0]
     if not chunks:
         return EventColumns.from_wire(b"")
-    return EventColumns(np.concatenate([chunk._arr for chunk in chunks]))
+    # Concatenating the raw bytes skips numpy's field-by-field copy of
+    # structured arrays, which costs ~30x more on a window's chunks.
+    raw = [np.ascontiguousarray(chunk._arr).view(np.uint8) for chunk in chunks]
+    return EventColumns(np.concatenate(raw).view(EVENT_DTYPE))
 
 
 def _merge_comparison_mirror(
@@ -301,9 +312,20 @@ def _merge_comparison_mirror(
     return concat_columns([run, pending])._take(merged)
 
 
-def _lexsorted(arr) -> EventColumns:
-    """A stable sort of a NaN-free batch array by ``(value, node_id, seq)``."""
-    order = np.lexsort((arr["seq"], arr["node_id"], arr["value"]))
+def _key_sorted(arr) -> EventColumns:
+    """The stable sort of a NaN-free batch array by ``(value, node_id, seq)``.
+
+    One ``argsort`` of the value column decides the order whenever no two
+    values compare equal: the key order is then the value order, whose
+    sorted permutation is unique, so stability cannot matter.  Only a tie
+    (a duplicate value, ``0.0``/``-0.0``, a repeated infinity) pays for
+    the stable three-key ``lexsort``.
+    """
+    values = np.ascontiguousarray(arr["value"])
+    order = np.argsort(values)
+    ranked = values[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.lexsort((arr["seq"], arr["node_id"], values))
     return EventColumns(arr.take(order))
 
 
@@ -312,27 +334,28 @@ def merge_runs(
 ) -> EventColumns:
     """Sort ``pending`` and merge it into the sorted ``run``.
 
-    Bit-identical to the object path (see the module docstring): a stable
-    ``lexsort`` over ``run ++ pending`` when no value is NaN, the
-    comparison mirror otherwise.
+    Bit-identical to the object path (see the module docstring): one sort
+    of ``run ++ pending`` when no value is NaN, the comparison mirror
+    otherwise.
     """
     full = pending if run is None or not len(run) else concat_columns(
         [run, pending]
     )
     if not full.has_nan():
-        return _lexsorted(full._arr)
+        return _key_sorted(full._arr)
     return _merge_comparison_mirror(run, pending)
 
 
 def merge_sorted_runs(
     runs: Sequence[object],
 ) -> "tuple[EventColumns, Event | None] | None":
-    """Merge runs that are each already sorted, with one stable lexsort.
+    """Merge runs that are each already sorted, with one sort.
 
     The calculation step's columnar path: the root's fetched candidate
-    slices concatenate in arrival order, and a stable ``np.lexsort`` over
-    ``(value, node_id, seq)`` equals the object path's ``heapq.merge``
-    (ties go to the earlier run in both).  Returns ``None`` whenever that
+    slices concatenate in arrival order, and their sort by ``(value,
+    node_id, seq)`` equals the object path's ``heapq.merge`` (with unique
+    keys the order is unique; equal keys go to the earlier run in both,
+    through the stable tie fallback).  Returns ``None`` whenever that
     equivalence is not guaranteed — no runs, a run that is not a
     columnar batch, or a NaN value, whose comparison order only the
     object merge reproduces — so the caller merges event objects instead.
@@ -362,4 +385,4 @@ def merge_sorted_runs(
     descending[ends[(ends > 0) & (ends < len(arr))] - 1] = False
     if descending.any():
         return full, full[int(descending.argmax()) + 1]
-    return _lexsorted(arr), None
+    return _key_sorted(arr), None

@@ -137,3 +137,45 @@ class TestSnapshotSemantics:
         assert isinstance(snapshot, EventColumns)
         assert window.sorted_events() is snapshot
         assert [e.value for e in snapshot] == [1.0, 2.0, 3.0]
+
+
+class TestLength:
+    """``len`` is a running count, exact at every point of a window."""
+
+    @staticmethod
+    def _feed(kind, events, batch):
+        from repro.streaming.columns import EventColumns
+
+        # Mixed feeds alternate the two batch shapes.
+        columnar = kind == "columnar" or (kind == "mixed" and batch % 2)
+        return EventColumns.from_events(events) if columnar else events
+
+    @pytest.mark.parametrize("kind", ["object", "columnar", "mixed"])
+    def test_len_after_many_batches_snapshot_and_seal(self, kind):
+        rng = random.Random(kind)
+        window = SortedLocalWindow()
+        expected = 0
+        for batch in range(60):
+            size = rng.randrange(1, 9)
+            events = make_events(
+                [rng.random() for _ in range(size)], start_seq=batch * 10
+            )
+            window.add_all(self._feed(kind, events, batch))
+            expected += size
+            assert len(window) == expected
+            if batch == 30:
+                # A mid-window cut compacts the pending chunks.
+                assert len(window.sorted_events()) == expected
+                assert len(window) == expected
+        sealed = window.seal()
+        assert len(sealed) == expected
+        assert len(window) == expected
+
+    def test_empty_columnar_batch_counts_nothing(self):
+        from repro.streaming.columns import EventColumns
+
+        window = SortedLocalWindow()
+        window.add_all(EventColumns.from_events(make_events([2.0, 1.0])))
+        window.add_all(EventColumns.from_events([]))
+        assert len(window) == 2
+        assert len(window.seal()) == 2

@@ -13,15 +13,21 @@ exact order the object path would have produced.
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.calculation import merge_candidate_runs
 from repro.core.engine import dema_quantile
 from repro.errors import SliceError
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
-from repro.streaming.columns import EventColumns
-from repro.streaming.events import Event, make_events
+from repro.streaming.columns import (
+    EventColumns,
+    merge_runs,
+    merge_sorted_runs,
+)
+from repro.streaming.events import Event, event_key, make_events
 
 _F64 = struct.Struct("<d")
 
@@ -169,3 +175,135 @@ def test_served_quantiles_identical(per_node, q, gamma):
     assert result.candidate_events == expected.candidate_events
     assert result.candidate_slices == expected.candidate_slices
     assert result.synopses == expected.synopses
+
+
+# NaN-free pools that reach both branches of the columnar sort.  The tie
+# pool forces equal values (duplicates, 0.0 against -0.0, a repeated
+# infinity), so the stable three-key lexsort decides the order; distinct
+# values leave the order to the one-key argsort alone.  (``_values`` above
+# draws NaN in most batches, which routes the whole batch to the
+# comparison mirror instead.)
+_tie_values = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf")]),
+    min_size=0,
+    max_size=60,
+)
+_distinct_values = st.lists(
+    st.floats(allow_nan=False, allow_infinity=True, width=64),
+    min_size=0,
+    max_size=60,
+    unique=True,  # ``==``-unique: 0.0 and -0.0 never both appear
+)
+_nan_free_values = st.one_of(_tie_values, _distinct_values)
+
+
+@st.composite
+def nan_free_events(draw):
+    """Events with strict ``(node_id, seq)`` keys and NaN-free values."""
+    values = draw(_nan_free_values)
+    return [
+        Event(
+            value=value,
+            timestamp=draw(st.integers(min_value=0, max_value=50)),
+            node_id=draw(st.integers(min_value=1, max_value=3)),
+            seq=i,
+        )
+        for i, value in enumerate(values)
+    ]
+
+
+def _lexsort_reference(events):
+    """The three-key stable ``np.lexsort`` every columnar sort must equal."""
+    cols = EventColumns.from_events(events)
+    order = np.lexsort((cols.seqs, cols.node_ids, cols.values))
+    return EventColumns.from_arrays(
+        cols.values[order],
+        cols.timestamps[order],
+        cols.node_ids[order],
+        cols.seqs[order],
+    ).to_wire()
+
+
+def _wire(events):
+    return EventColumns.from_events(events).to_wire()
+
+
+@given(nan_free_events(), st.integers(min_value=0, max_value=60))
+@settings(max_examples=200, deadline=None)
+def test_nan_free_merge_runs_equals_lexsort_and_object_path(events, cut):
+    # One sort of a whole batch.
+    sorted_obj = sorted(events, key=event_key)
+    merged = merge_runs(None, EventColumns.from_events(events))
+    assert merged.to_wire() == _lexsort_reference(events)
+    assert merged.to_wire() == _wire(sorted_obj)
+
+    # A pending batch merged into an already sorted run.
+    cut %= len(events) + 1
+    head, tail = events[:cut], events[cut:]
+    if head:
+        run = merge_runs(None, EventColumns.from_events(head))
+        pending = EventColumns.from_events(tail)
+        merged = merge_runs(run, pending)
+        assert merged.to_wire() == _lexsort_reference(list(run) + tail)
+        assert merged.to_wire() == _wire(sorted_obj)
+
+
+@given(nan_free_events(), st.integers(min_value=1, max_value=60))
+@settings(max_examples=200, deadline=None)
+def test_nan_free_seal_equals_lexsort_and_object_path(events, chunk):
+    object_window = SortedLocalWindow()
+    columnar_window = SortedLocalWindow()
+    for start in range(0, len(events), chunk):
+        batch = events[start:start + chunk]
+        object_window.add_all(batch)
+        columnar_window.add_all(EventColumns.from_events(batch))
+        if start:
+            object_window.sorted_events()
+            columnar_window.sorted_events()
+    sealed = _wire(columnar_window.seal())
+    assert sealed == _wire(object_window.seal())
+    assert sealed == _lexsort_reference(events)
+
+
+@given(
+    st.lists(nan_free_events(), min_size=1, max_size=4),
+    st.integers(min_value=2, max_value=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_nan_free_candidate_merge_equals_lexsort_and_heap_merge(
+    windows, gamma
+):
+    # Candidate runs as the root receives them: γ-slices of sorted local
+    # windows, in arrival order (window by window).
+    runs = []
+    for node_id, events in enumerate(windows, start=1):
+        events = [
+            Event(e.value, e.timestamp, node_id, e.seq) for e in events
+        ]
+        sealed = merge_runs(None, EventColumns.from_events(events))
+        runs.extend(slice_sorted_events(sealed, gamma, node_id).runs)
+    if not runs:
+        return
+    merged, misplaced = merge_sorted_runs(runs)
+    assert misplaced is None
+    arrived = [event for run in runs for event in run]
+    assert merged.to_wire() == _lexsort_reference(arrived)
+    object_runs = [list(run) for run in runs]
+    assert merged.to_wire() == _wire(merge_candidate_runs(object_runs))
+
+
+@given(nan_free_events(), st.integers(min_value=2, max_value=20))
+@settings(max_examples=150, deadline=None)
+def test_columnar_synopsis_keys_are_exact_python_scalars(events, gamma):
+    sealed_obj = sorted(events, key=event_key)
+    sealed_col = merge_runs(None, EventColumns.from_events(events))
+    sliced_col = slice_sorted_events(sealed_col, gamma, node_id=1)
+    sliced_obj = slice_sorted_events(sealed_obj, gamma, node_id=1)
+    assert [_synopsis_bits(s) for s in sliced_col.synopses] == [
+        _synopsis_bits(s) for s in sliced_obj.synopses
+    ]
+    for synopsis in sliced_col.synopses:
+        for value, node_id, seq in (synopsis.first_key, synopsis.last_key):
+            assert type(value) is float
+            assert type(node_id) is int
+            assert type(seq) is int

@@ -3,8 +3,12 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.slicing import slice_sorted_events
-from repro.core.units import build_units
-from repro.core.window_cut import rank_bound_candidates, window_cut
+from repro.core.units import SliceKind, build_units, classify_slice
+from repro.core.window_cut import (
+    rank_bound_candidates,
+    window_cut,
+    window_cut_multi,
+)
 from repro.streaming.events import event_key, make_events
 
 
@@ -101,3 +105,29 @@ def test_pruned_slices_are_classifiable(case, rank_seed):
             continue
         events = runs[synopsis.slice_id]
         assert all(e.key != truth_key for e in events)
+
+
+def _classify_census(synopses, cut):
+    """The kinds census rebuilt through the public ``classify_slice``."""
+    counts = {kind.value: 0 for kind in SliceKind}
+    chosen = cut.candidate_ids
+    for unit in build_units(synopses):
+        for member in unit.members:
+            if member.slice_id in chosen:
+                counts[classify_slice(unit, member).value] += 1
+    return counts
+
+
+@given(sliced_synopses(), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_kinds_census_matches_classify_slice(case, rank_seed):
+    synopses, _, all_events = case
+    if not all_events:
+        return
+    rank = rank_seed % len(all_events) + 1
+    for cut in (
+        window_cut(synopses, rank),
+        rank_bound_candidates(synopses, rank),
+        window_cut_multi(synopses, [rank])[rank],
+    ):
+        assert cut.kinds == _classify_census(synopses, cut)

@@ -97,9 +97,11 @@ class TestSequenceProtocol:
 
     def test_keys_and_timestamps(self):
         cols = EventColumns.from_events(EVENTS)
-        assert cols.key_at(0) == EVENTS[0].key
-        assert cols.key_at(-1) == EVENTS[-1].key
-        assert all(type(part) in (float, int) for part in cols.key_at(2))
+        assert cols.keys_at([0, -1]) == [EVENTS[0].key, EVENTS[-1].key]
+        assert cols.keys_at([]) == []
+        (key,) = cols.keys_at([2])
+        assert key == EVENTS[2].key
+        assert [type(part) for part in key] == [float, int, int]
         assert cols.timestamp_at(2) == 9
         assert cols.min_timestamp() == 9
         assert cols.max_timestamp() == 12
@@ -177,6 +179,32 @@ class TestMergeRuns:
         merged = merge_runs(run, EventColumns.from_events([twin]))
         assert list(merged) == [twin, twin]
 
+    @pytest.mark.parametrize(
+        "values, ties",
+        [
+            ([3.0, -1.0, 2.5, 0.0], False),
+            ([float("inf"), -1.0, float("-inf")], False),
+            ([3.0, -1.0, 3.0], True),
+            ([0.0, 1.0, -0.0], True),
+            ([float("inf"), 1.0, float("inf")], True),
+        ],
+    )
+    def test_lexsort_runs_only_on_ties(self, monkeypatch, values, ties):
+        import numpy as np
+
+        calls = []
+        lexsort = np.lexsort
+
+        def spy(keys):
+            calls.append(len(keys))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        events = make_events(values, node_id=4)
+        merged = merge_runs(None, EventColumns.from_events(events))
+        assert calls == ([3] if ties else [])
+        assert _pack(merged) == _pack(sorted(events, key=event_key))
+
 
 class TestConcat:
     def test_concat_orders_chunks(self):
@@ -185,3 +213,12 @@ class TestConcat:
         assert tuple(concat_columns([a, b])) == EVENTS
         assert concat_columns([a]) is a
         assert len(concat_columns([])) == 0
+
+    def test_concat_strided_and_empty_chunks(self):
+        cols = EventColumns.from_events(EVENTS)
+        empty = EventColumns.from_events([])
+        chunks = [cols[::-2], empty, cols[1:3], cols]
+        joined = concat_columns(chunks)
+        expected = [event for chunk in chunks for event in chunk]
+        assert _pack(joined) == _pack(expected)
+        assert len(concat_columns([empty, empty])) == 0
